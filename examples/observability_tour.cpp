@@ -1,11 +1,11 @@
 // Observability tour: the drift -> fine-tune -> hot-swap loop from
 // online_finetune_serving, re-run with the full src/obs stack armed —
 // metrics recording, request-lifecycle tracing at full sampling, and
-// kernel/per-layer profiling. Every serve request leaves a span tree
+// kernel/per-op profiling. Every serve request leaves a span tree
 // (queue_wait / assembly / decode / respond under a request span), the
 // trainer marks its job / round / eval / publish phases, and the decoder's
 // GEMMs report call counts and GFLOP/s. After the run the example prints
-// the per-tenant latency and stage-breakdown tables and the kernel/layer
+// the per-tenant latency and stage-breakdown tables and the kernel/plan-op
 // profiles, and exports:
 //
 //   obs_tour_metrics.json  - metrics snapshot (counters/gauges/histograms)

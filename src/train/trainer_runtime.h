@@ -81,7 +81,7 @@ struct TrainerConfig {
   bool publish_on_register = true;
   /// Kernel backend published snapshots are pre-warmed (pre-packed) for —
   /// set it to the consuming ServeConfig::backend so the first post-swap
-  /// decode pays no packing cost (the pack cache keeps one backend's
+  /// decode pays no packing cost (a snapshot's plan holds one backend's
   /// panels). Empty: the tenant's own backend, else the process default.
   std::string serve_backend;
 };

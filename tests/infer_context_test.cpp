@@ -174,177 +174,52 @@ TEST(InferContextTest, PingPongBuffersAlternate) {
   EXPECT_FALSE(ctx.owns(outside));
 }
 
-TEST(InferContextTest, SequentialInferIntoMatchesInferBitwise) {
-  common::Pcg32 rng(7);
-  nn::Sequential model;
-  model.emplace<nn::Dense>(16, 48, rng);
-  model.emplace<nn::ReLU>();
-  model.emplace<nn::Dense>(48, 48, rng);
-  model.emplace<nn::LeakyReLU>(0.05f);
-  model.emplace<nn::Dense>(48, 64, rng);
-  model.emplace<nn::Sigmoid>();
-
-  InferContext ctx;
-  Tensor out;
-  // Varying batch sizes through ONE context: buffers shrink and regrow
-  // within capacity without perturbing values.
-  for (const std::size_t batch : {8u, 1u, 5u, 8u}) {
-    const Tensor x = Tensor::randn({batch, 16}, rng);
-    const Tensor expected = model.infer(x);
-    model.infer_into(x, out, ctx);
-    ASSERT_EQ(out.shape(), expected.shape());
-    for (std::size_t i = 0; i < out.numel(); ++i) {
-      ASSERT_EQ(out[i], expected[i]) << "batch " << batch << " elem " << i;
-    }
-  }
-}
-
-TEST(InferContextTest, ConvChainInferIntoMatchesInferBitwise) {
-  common::Pcg32 rng(21);
-  nn::Sequential model;
-  // 1x8x8 -> conv 4ch -> ReLU -> pool -> convT back up -> Sigmoid.
-  model.emplace<nn::Conv2d>(1, 4, 3, 1, 1, 8, 8, rng);
-  model.emplace<nn::ReLU>();
-  model.emplace<nn::MaxPool2d>(4, 8, 8, 2, 2);
-  model.emplace<nn::ConvTranspose2d>(4, 1, 2, 2, 0, 4, 4, rng);
-  model.emplace<nn::Sigmoid>();
-
-  InferContext ctx;
-  Tensor out;
-  for (const std::size_t batch : {3u, 1u, 3u}) {
-    const Tensor x = Tensor::randn({batch, 64}, rng);
-    const Tensor expected = model.infer(x);
-    model.infer_into(x, out, ctx);
-    ASSERT_EQ(out.shape(), expected.shape());
-    for (std::size_t i = 0; i < out.numel(); ++i) {
-      ASSERT_EQ(out[i], expected[i]) << "batch " << batch << " elem " << i;
-    }
-  }
-}
-
 TEST(InferContextTest, InputMayAliasAContextBuffer) {
-  // The ClusterShard pattern: assemble the batch in ctx.input(), infer out
-  // of it. The planner must ping-pong away from the aliased buffer.
+  // The ClusterShard pattern: assemble the batch in ctx.input(), run the
+  // plan out of it. The executor must ping-pong away from the aliased
+  // buffer, and a warmed run from it stays off the allocator.
+  SerialBlockedScope kernels;
   common::Pcg32 rng(3);
   nn::Sequential model;
   model.emplace<nn::Dense>(8, 24, rng);
   model.emplace<nn::ReLU>();
   model.emplace<nn::Dense>(24, 32, rng);
   model.emplace<nn::Sigmoid>();
+  const auto plan = nn::InferPlan::compile(model);
 
   InferContext ctx;
   const Tensor x = Tensor::randn({4, 8}, rng);
-  const Tensor expected = model.infer(x);
-
-  Tensor& assembled = ctx.input();
-  assembled.resize(4, 8);
-  std::copy(x.data().begin(), x.data().end(), assembled.data().begin());
+  const Tensor expected = model.forward(x, false);
   Tensor out;
-  model.infer_into(assembled, out, ctx);
+  const auto assemble_and_run = [&] {
+    Tensor& assembled = ctx.input();
+    assembled.resize(4, 8);
+    std::copy(x.data().begin(), x.data().end(), assembled.data().begin());
+    plan->run(assembled, out, ctx);
+  };
+  assemble_and_run();
   ASSERT_EQ(out.shape(), expected.shape());
+  for (std::size_t i = 0; i < out.numel(); ++i) {
+    ASSERT_EQ(out[i], expected[i]);
+  }
+
+  std::uint64_t allocs = 0;
+  {
+    CountAllocs counter;
+    for (int i = 0; i < 16; ++i) assemble_and_run();
+    allocs = CountAllocs::count();
+  }
+  EXPECT_EQ(allocs, 0u);
   for (std::size_t i = 0; i < out.numel(); ++i) {
     ASSERT_EQ(out[i], expected[i]);
   }
 }
 
-TEST(ZeroAllocTest, WarmedSequentialDecodeMakesNoHeapAllocations) {
-  SerialBlockedScope kernels;
-  common::Pcg32 rng(11);
-  nn::Sequential model;
-  model.emplace<nn::Dense>(16, 64, rng);
-  model.emplace<nn::ReLU>();
-  model.emplace<nn::Dense>(64, 64, rng);
-  model.emplace<nn::Sigmoid>();
-  model.set_weight_prepack(true);
-
-  InferContext ctx;
-  Tensor out;
-  const Tensor x = Tensor::randn({8, 16}, rng);
-  // Warmup: grows the context buffers to their high-water mark and packs
-  // the weight panels.
-  model.infer_into(x, out, ctx);
-  model.infer_into(x, out, ctx);
-
-  std::uint64_t allocs = 0;
-  {
-    CountAllocs counter;
-    for (int i = 0; i < 16; ++i) model.infer_into(x, out, ctx);
-    allocs = CountAllocs::count();
-  }
-  EXPECT_EQ(allocs, 0u);
-
-  // Smaller batches recycle the same (capacity-preserving) buffers.
-  const Tensor small = Tensor::randn({2, 16}, rng);
-  model.infer_into(small, out, ctx);  // shape warmup outside the counter
-  std::uint64_t small_allocs = 0;
-  {
-    CountAllocs counter;
-    for (int i = 0; i < 16; ++i) model.infer_into(small, out, ctx);
-    small_allocs = CountAllocs::count();
-  }
-  EXPECT_EQ(small_allocs, 0u);
-}
-
-TEST(ZeroAllocTest, WarmedQuantizedDecodeMakesNoHeapAllocations) {
-  // The int8 uplink decode path (Sequential::infer_quantized_into feeding
-  // Backend::gemm_quantized) must meet the same zero-allocation bar as the
-  // float path: after warmup, codes in -> reconstruction out touches no
-  // allocator.
-  SerialBlockedScope kernels;
-  common::Pcg32 rng(29);
-  nn::Sequential model;
-  model.emplace<nn::Dense>(16, 64, rng);
-  model.emplace<nn::ReLU>();
-  model.emplace<nn::Dense>(64, 64, rng);
-  model.emplace<nn::Sigmoid>();
-  model.set_weight_prepack(true);
-
-  // Wire-format stand-ins: 8x16 uint8 codes with per-row affine headers.
-  std::vector<std::uint8_t> codes(8 * 16);
-  for (std::size_t i = 0; i < codes.size(); ++i) {
-    codes[i] = static_cast<std::uint8_t>((i * 37 + 11) & 0xFF);
-  }
-  std::vector<float> lo(8), scale(8);
-  for (std::size_t i = 0; i < 8; ++i) {
-    lo[i] = -0.5f + 0.1f * static_cast<float>(i);
-    scale[i] = 1.5f / 255.0f;
-  }
-  const tensor::QuantHeader qh{lo.data(), scale.data()};
-
-  InferContext ctx;
-  Tensor out;
-  model.infer_quantized_into(codes.data(), qh, 8, 16, out, ctx);
-  model.infer_quantized_into(codes.data(), qh, 8, 16, out, ctx);
-
-  std::uint64_t allocs = 0;
-  {
-    CountAllocs counter;
-    for (int i = 0; i < 16; ++i) {
-      model.infer_quantized_into(codes.data(), qh, 8, 16, out, ctx);
-    }
-    allocs = CountAllocs::count();
-  }
-  EXPECT_EQ(allocs, 0u);
-  EXPECT_EQ(out.dim(1), 64u);
-
-  // Smaller batches through the same warmed context stay allocation-free.
-  model.infer_quantized_into(codes.data(), qh, 3, 16, out, ctx);
-  std::uint64_t small_allocs = 0;
-  {
-    CountAllocs counter;
-    for (int i = 0; i < 16; ++i) {
-      model.infer_quantized_into(codes.data(), qh, 3, 16, out, ctx);
-    }
-    small_allocs = CountAllocs::count();
-  }
-  EXPECT_EQ(small_allocs, 0u);
-}
-
 TEST(ZeroAllocTest, WarmedPlanExecutorMakesNoHeapAllocations) {
-  // The compiled-plan executor must meet the same bar as (and eventually
-  // replaces) Sequential::infer_into on serving paths: after one warmup
-  // run at the high-water batch, run() touches no allocator — kernels come
-  // pre-resolved, panels pre-packed, the arena pre-reserved.
+  // The serving decode bar: after one warmup run at the high-water batch,
+  // run() touches no allocator — kernels come pre-resolved, panels
+  // pre-packed, the arena pre-reserved — for full and partial batches, on
+  // the float and the int8 entry.
   SerialBlockedScope kernels;
   common::Pcg32 rng(37);
   nn::Sequential model;
@@ -368,6 +243,16 @@ TEST(ZeroAllocTest, WarmedPlanExecutorMakesNoHeapAllocations) {
   }
   EXPECT_EQ(allocs, 0u);
 
+  // Smaller batches recycle the same (capacity-preserving) buffers.
+  const Tensor small = Tensor::randn({2, 16}, rng);
+  std::uint64_t small_allocs = 0;
+  {
+    CountAllocs counter;
+    for (int i = 0; i < 16; ++i) plan->run(small, out, ctx);
+    small_allocs = CountAllocs::count();
+  }
+  EXPECT_EQ(small_allocs, 0u);
+
   // Quantized head entry through the same warmed plan and context.
   std::vector<std::uint8_t> codes(8 * 16);
   for (std::size_t i = 0; i < codes.size(); ++i) {
@@ -385,6 +270,18 @@ TEST(ZeroAllocTest, WarmedPlanExecutorMakesNoHeapAllocations) {
     q_allocs = CountAllocs::count();
   }
   EXPECT_EQ(q_allocs, 0u);
+  EXPECT_EQ(out.dim(1), 64u);
+
+  // Partial int8 batches after the larger warmup stay allocation-free.
+  std::uint64_t q_small_allocs = 0;
+  {
+    CountAllocs counter;
+    for (int i = 0; i < 16; ++i) {
+      plan->run_quantized(codes.data(), qh, 3, 16, out, ctx);
+    }
+    q_small_allocs = CountAllocs::count();
+  }
+  EXPECT_EQ(q_small_allocs, 0u);
 }
 
 TEST(ZeroAllocTest, WarmedConvPlanExecutorMakesNoHeapAllocations) {
@@ -406,20 +303,23 @@ TEST(ZeroAllocTest, WarmedConvPlanExecutorMakesNoHeapAllocations) {
   plan->run(x, out, ctx);
   plan->run(x, out, ctx);
 
+  // Partial batches after the larger warmup reuse the same buffers and
+  // arena slab.
+  const Tensor small = x.slice_rows(0, 1);
   std::uint64_t allocs = 0;
   {
     CountAllocs counter;
     for (int i = 0; i < 8; ++i) plan->run(x, out, ctx);
+    for (int i = 0; i < 8; ++i) plan->run(small, out, ctx);
     allocs = CountAllocs::count();
   }
   EXPECT_EQ(allocs, 0u);
 }
 
 TEST(ZeroAllocTest, NestedChainDecodesZeroAllocAndBitwiseEqualToFlat) {
-  // Regression for the retired nested-Sequential escape hatch, which
-  // round-tripped every inner layer through freshly allocated tensors:
-  // nested containers now flatten at add() time, so a nested chain decodes
-  // exactly like its flat equivalent — same bits, zero allocations.
+  // Nested containers flatten at add() time, so the plan compiled from a
+  // nested chain decodes exactly like its flat equivalent — same bits,
+  // zero allocations once warmed.
   SerialBlockedScope kernels;
 
   nn::Sequential flat;
@@ -445,68 +345,26 @@ TEST(ZeroAllocTest, NestedChainDecodesZeroAllocAndBitwiseEqualToFlat) {
     nested.add(std::move(inner));
     nested.emplace<nn::Sigmoid>();
   }
-  flat.set_weight_prepack(true);
-  nested.set_weight_prepack(true);
 
   common::Pcg32 data_rng(51);
   const Tensor x = Tensor::randn({8, 16}, data_rng);
-  InferContext flat_ctx, nested_ctx;
-  Tensor flat_out, nested_out;
-  flat.infer_into(x, flat_out, flat_ctx);
-  nested.infer_into(x, nested_out, nested_ctx);
-  ASSERT_EQ(nested_out.shape(), flat_out.shape());
-  for (std::size_t i = 0; i < nested_out.numel(); ++i) {
-    ASSERT_EQ(nested_out[i], flat_out[i]) << "elem " << i;
-  }
+  const Tensor flat_out = flat.forward(x, false);
 
-  nested.infer_into(x, nested_out, nested_ctx);  // warmup
-  std::uint64_t allocs = 0;
-  {
-    CountAllocs counter;
-    for (int i = 0; i < 16; ++i) nested.infer_into(x, nested_out, nested_ctx);
-    allocs = CountAllocs::count();
-  }
-  EXPECT_EQ(allocs, 0u);
-
-  // The plan compiled from the nested chain meets the same bar.
   const auto plan = nn::InferPlan::compile(nested);
+  InferContext ctx;
   Tensor plan_out;
-  plan->run(x, plan_out, nested_ctx);
+  plan->run(x, plan_out, ctx);  // warmup
+  ASSERT_EQ(plan_out.shape(), flat_out.shape());
   for (std::size_t i = 0; i < plan_out.numel(); ++i) {
     ASSERT_EQ(plan_out[i], flat_out[i]) << "plan elem " << i;
   }
   std::uint64_t plan_allocs = 0;
   {
     CountAllocs counter;
-    for (int i = 0; i < 16; ++i) plan->run(x, plan_out, nested_ctx);
+    for (int i = 0; i < 16; ++i) plan->run(x, plan_out, ctx);
     plan_allocs = CountAllocs::count();
   }
   EXPECT_EQ(plan_allocs, 0u);
-}
-
-TEST(ZeroAllocTest, WarmedConvDecodeMakesNoHeapAllocations) {
-  SerialBlockedScope kernels;
-  common::Pcg32 rng(13);
-  nn::Sequential model;
-  model.emplace<nn::Conv2d>(1, 4, 3, 1, 1, 8, 8, rng);
-  model.emplace<nn::ReLU>();
-  model.emplace<nn::ConvTranspose2d>(4, 1, 2, 2, 0, 8, 8, rng);
-  model.emplace<nn::Sigmoid>();
-  model.set_weight_prepack(true);
-
-  InferContext ctx;
-  Tensor out;
-  const Tensor x = Tensor::randn({4, 64}, rng);
-  model.infer_into(x, out, ctx);
-  model.infer_into(x, out, ctx);
-
-  std::uint64_t allocs = 0;
-  {
-    CountAllocs counter;
-    for (int i = 0; i < 8; ++i) model.infer_into(x, out, ctx);
-    allocs = CountAllocs::count();
-  }
-  EXPECT_EQ(allocs, 0u);
 }
 
 TEST(ZeroAllocTest, ClusterShardStyleSteadyStateDecodeIsAllocationFree) {
@@ -521,7 +379,6 @@ TEST(ZeroAllocTest, ClusterShardStyleSteadyStateDecodeIsAllocationFree) {
   cfg.orco.latent_dim = 16;
   cfg.orco.decoder_layers = 3;
   cfg.orco.seed = 5;
-  cfg.orco.prepack_decoder = true;
   cfg.field.device_count = 8;
   cfg.field.radio_range_m = 60.0;
   core::OrcoDcsSystem system(cfg);
@@ -558,9 +415,10 @@ TEST(ZeroAllocTest, ClusterShardStyleSteadyStateDecodeIsAllocationFree) {
 TEST(ZeroAllocTest, SteadyStateDecodeStaysAllocationFreeWithObservabilityOn) {
   // Same acceptance bar as above with the full observability stack armed:
   // metrics, tracing at rate 1.0 (every decode emits a span into the
-  // thread-local ring) and per-kernel/per-layer profiling. The ring and the
-  // layer timers are created during warmup; the steady-state record path is
-  // plain atomic adds and ring stores, so it must stay off the allocator.
+  // thread-local ring) and per-kernel/per-op profiling. The ring and the
+  // plan's op timers are created during warmup; the steady-state record
+  // path is plain atomic adds and ring stores, so it must stay off the
+  // allocator.
   SerialBlockedScope kernels;
   obs::ObsConfig obs_cfg;
   obs_cfg.trace_sample_rate = 1.0;
@@ -572,7 +430,6 @@ TEST(ZeroAllocTest, SteadyStateDecodeStaysAllocationFreeWithObservabilityOn) {
   cfg.orco.latent_dim = 16;
   cfg.orco.decoder_layers = 3;
   cfg.orco.seed = 5;
-  cfg.orco.prepack_decoder = true;
   cfg.field.device_count = 8;
   cfg.field.radio_range_m = 60.0;
   core::OrcoDcsSystem system(cfg);

@@ -1,13 +1,15 @@
 // Tests for InferPlan, the compile-once inference plan (nn/infer_plan.h):
 // compile-time structure (identity layers dropped, activations fused,
-// packed panels pre-attached), bitwise parity with Sequential::infer_into
-// across all three backends and odd shapes, the int8 quantized head,
-// all-identity chains, nested-chain flattening, weight-staleness
+// packed panels pre-attached), bitwise parity with the unfused training
+// path Sequential::forward(x, false) across all three backends and odd
+// shapes, the int8 quantized head (against forward on the dequantized
+// batch), all-identity chains, nested-chain flattening, weight-staleness
 // detection, and the precomputed arena high-water.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -51,6 +53,19 @@ std::unique_ptr<nn::Sequential> make_odd_dense_model(std::uint64_t seed) {
   return model;
 }
 
+/// The 128 -> 456 -> 784 paper decoder with `hidden` after the first
+/// layer and a Sigmoid output.
+std::unique_ptr<nn::Sequential> make_paper_decoder(std::uint64_t seed,
+                                                   nn::LayerPtr hidden) {
+  common::Pcg32 rng(seed);
+  auto model = std::make_unique<nn::Sequential>();
+  model->emplace<nn::Dense>(128, 456, rng);
+  model->add(std::move(hidden));
+  model->emplace<nn::Dense>(456, 784, rng);
+  model->emplace<nn::Sigmoid>();
+  return model;
+}
+
 void expect_bitwise_equal(const Tensor& got, const Tensor& want,
                           const char* what) {
   ASSERT_EQ(got.shape(), want.shape()) << what;
@@ -58,6 +73,41 @@ void expect_bitwise_equal(const Tensor& got, const Tensor& want,
     ASSERT_EQ(got[i], want[i]) << what << " elem " << i;
   }
 }
+
+/// Seeded int8 codes with distinct per-row affine headers.
+struct QuantBatch {
+  std::vector<std::uint8_t> codes;
+  std::vector<float> lo, scale;
+  std::size_t batch, features;
+
+  QuantBatch(std::size_t rows, std::size_t cols, std::size_t mul,
+             std::size_t add)
+      : codes(rows * cols), lo(rows), scale(rows), batch(rows),
+        features(cols) {
+    for (std::size_t i = 0; i < codes.size(); ++i) {
+      codes[i] = static_cast<std::uint8_t>((i * mul + add) & 0xFF);
+    }
+    for (std::size_t i = 0; i < rows; ++i) {
+      lo[i] = -0.75f + 0.2f * static_cast<float>(i);
+      scale[i] = (1.0f + 0.1f * static_cast<float>(i)) / 255.0f;
+    }
+  }
+
+  tensor::QuantHeader header() const { return {lo.data(), scale.data()}; }
+
+  /// The first `rows` rows decoded as x = lo + q*scale in float math — the
+  /// exact values gemm_quantized feeds its GEMM.
+  Tensor dequantized(std::size_t rows) const {
+    Tensor x({rows, features});
+    for (std::size_t i = 0; i < rows; ++i) {
+      for (std::size_t j = 0; j < features; ++j) {
+        x.at(i, j) = lo[i] + static_cast<float>(codes[i * features + j]) *
+                                 scale[i];
+      }
+    }
+    return x;
+  }
+};
 
 TEST(InferPlanTest, CompileDropsIdentityAndFusesActivations) {
   common::Pcg32 rng(41);
@@ -93,19 +143,32 @@ TEST(InferPlanTest, CompileDropsIdentityAndFusesActivations) {
 }
 
 TEST(InferPlanTest, MatchesSequentialBitwiseOnAllBackendsAndOddShapes) {
+  // The odd-shaped chain walks every fringe tile path; the 128 -> 456 -> 784
+  // paper decoder at batch 32/64 fills whole simd register tiles, under
+  // every hidden activation the epilogue can fuse.
   for (const tensor::Backend* backend : all_backends()) {
     tensor::BackendScope scope(backend);
-    const auto model = make_odd_dense_model(97);
-    const auto plan = InferPlan::compile(*model, backend);
-
-    InferContext seq_ctx, plan_ctx;
-    Tensor expected, got;
-    common::Pcg32 rng(5);
-    for (const std::size_t batch : {1u, 3u, 7u, 11u, 7u}) {
-      const Tensor x = Tensor::randn({batch, 13}, rng);
-      model->infer_into(x, expected, seq_ctx);
-      plan->run(x, got, plan_ctx);
-      expect_bitwise_equal(got, expected, "dense plan");
+    std::vector<std::unique_ptr<nn::Sequential>> models;
+    models.push_back(make_odd_dense_model(97));
+    models.push_back(make_paper_decoder(401, std::make_unique<nn::ReLU>()));
+    models.push_back(
+        make_paper_decoder(401, std::make_unique<nn::LeakyReLU>(0.05f)));
+    models.push_back(make_paper_decoder(401, std::make_unique<nn::Tanh>()));
+    models.push_back(make_paper_decoder(401, std::make_unique<nn::Sigmoid>()));
+    for (const auto& model : models) {
+      const auto plan = InferPlan::compile(*model, backend);
+      const std::size_t in =
+          dynamic_cast<const nn::Dense&>(model->layer(0)).in_features();
+      const std::string what = backend->name() + " " + model->layer(1).name() +
+                               " in=" + std::to_string(in);
+      InferContext plan_ctx;
+      Tensor got;
+      common::Pcg32 rng(5);
+      for (const std::size_t batch : {1u, 3u, 7u, 11u, 7u, 32u, 64u}) {
+        const Tensor x = Tensor::randn({batch, in}, rng);
+        plan->run(x, got, plan_ctx);
+        expect_bitwise_equal(got, model->forward(x, false), what.c_str());
+      }
     }
   }
 }
@@ -126,13 +189,12 @@ TEST(InferPlanTest, ConvChainMatchesSequentialBitwiseOnAllBackends) {
     EXPECT_NE(plan->ops()[0].conv, nullptr);
     EXPECT_NE(plan->ops()[0].packed, nullptr);
 
-    InferContext seq_ctx, plan_ctx;
-    Tensor expected, got;
+    InferContext plan_ctx;
+    Tensor got;
     for (const std::size_t batch : {1u, 3u, 5u}) {
       const Tensor x = Tensor::randn({batch, 64}, rng);
-      model.infer_into(x, expected, seq_ctx);
       plan->run(x, got, plan_ctx);
-      expect_bitwise_equal(got, expected, "conv plan");
+      expect_bitwise_equal(got, model.forward(x, false), "conv plan");
     }
   }
 }
@@ -140,77 +202,71 @@ TEST(InferPlanTest, ConvChainMatchesSequentialBitwiseOnAllBackends) {
 TEST(InferPlanTest, RunUnderForeignBackendScopeStaysBitwiseCorrect) {
   // Panels are pinned to the compile backend; a BackendScope override at
   // run time must fall back to the unpacked kernels and still match the
-  // Sequential result under that same scope bitwise.
+  // forward result under that same scope bitwise — for the int8 head too,
+  // which then dequantizes and runs the float ops. simd panels are the
+  // discriminating case: simd rounds differently from reference, so
+  // running them under the reference scope would show.
   const auto model = make_odd_dense_model(131);
-  const auto plan = InferPlan::compile(*model, &tensor::blocked_backend());
-
-  tensor::BackendScope scope(&tensor::reference_backend());
-  InferContext seq_ctx, plan_ctx;
-  Tensor expected, got;
+  const QuantBatch q(5, 13, 59, 23);
   common::Pcg32 rng(9);
   const Tensor x = Tensor::randn({5, 13}, rng);
-  model->infer_into(x, expected, seq_ctx);
-  plan->run(x, got, plan_ctx);
-  expect_bitwise_equal(got, expected, "foreign-scope plan");
+  for (const tensor::Backend* compile_backend :
+       {&tensor::blocked_backend(), &tensor::simd_backend()}) {
+    const auto plan = InferPlan::compile(*model, compile_backend);
+    tensor::BackendScope scope(&tensor::reference_backend());
+    InferContext plan_ctx;
+    Tensor got;
+    plan->run(x, got, plan_ctx);
+    expect_bitwise_equal(got, model->forward(x, false), "foreign-scope plan");
+
+    plan->run_quantized(q.codes.data(), q.header(), q.batch, q.features, got,
+                        plan_ctx);
+    expect_bitwise_equal(got, model->forward(q.dequantized(5), false),
+                         "foreign-scope quantized plan");
+  }
 }
 
 TEST(InferPlanTest, QuantizedHeadMatchesSequentialBitwiseOnAllBackends) {
-  constexpr std::size_t kBatch = 6, kFeatures = 13;
-  std::vector<std::uint8_t> codes(kBatch * kFeatures);
-  for (std::size_t i = 0; i < codes.size(); ++i) {
-    codes[i] = static_cast<std::uint8_t>((i * 73 + 19) & 0xFF);
-  }
-  std::vector<float> lo(kBatch), scale(kBatch);
-  for (std::size_t i = 0; i < kBatch; ++i) {
-    lo[i] = -0.75f + 0.2f * static_cast<float>(i);
-    scale[i] = (1.0f + 0.1f * static_cast<float>(i)) / 255.0f;
-  }
-  const tensor::QuantHeader qh{lo.data(), scale.data()};
-
+  const QuantBatch q(6, 13, 73, 19);
   for (const tensor::Backend* backend : all_backends()) {
     tensor::BackendScope scope(backend);
     const auto model = make_odd_dense_model(211);
     const auto plan = InferPlan::compile(*model, backend);
 
-    InferContext seq_ctx, plan_ctx;
-    Tensor expected, got;
-    model->infer_quantized_into(codes.data(), qh, kBatch, kFeatures, expected,
-                                seq_ctx);
-    plan->run_quantized(codes.data(), qh, kBatch, kFeatures, got, plan_ctx);
-    expect_bitwise_equal(got, expected, "quantized head");
+    InferContext plan_ctx;
+    Tensor got;
+    plan->run_quantized(q.codes.data(), q.header(), q.batch, q.features, got,
+                        plan_ctx);
+    expect_bitwise_equal(got, model->forward(q.dequantized(6), false),
+                         "quantized head");
 
-    // Partial batch through the same contexts.
-    model->infer_quantized_into(codes.data(), qh, 2, kFeatures, expected,
-                                seq_ctx);
-    plan->run_quantized(codes.data(), qh, 2, kFeatures, got, plan_ctx);
-    expect_bitwise_equal(got, expected, "quantized head partial batch");
+    // Partial batch through the same context.
+    plan->run_quantized(q.codes.data(), q.header(), 2, q.features, got,
+                        plan_ctx);
+    expect_bitwise_equal(got, model->forward(q.dequantized(2), false),
+                         "quantized head partial batch");
   }
 }
 
 TEST(InferPlanTest, QuantizedNonDenseHeadDequantizesAndMatchesSequential) {
-  // A conv-headed chain has no Dense to feed codes into: both executors
-  // dequantize into their context input buffer and run the float chain.
-  tensor::BackendScope scope(&tensor::blocked_backend());
-  common::Pcg32 rng(77);
-  nn::Sequential model;
-  model.emplace<nn::Conv2d>(1, 2, 3, 1, 1, 4, 4, rng);
-  model.emplace<nn::ReLU>();
-  const auto plan = InferPlan::compile(model);
+  // A conv-headed chain has no Dense to feed codes into: the plan
+  // dequantizes into a context buffer and runs the float ops.
+  const QuantBatch q(3, 16, 41, 7);
+  for (const tensor::Backend* backend : all_backends()) {
+    tensor::BackendScope scope(backend);
+    common::Pcg32 rng(77);
+    nn::Sequential model;
+    model.emplace<nn::Conv2d>(1, 2, 3, 1, 1, 4, 4, rng);
+    model.emplace<nn::ReLU>();
+    const auto plan = InferPlan::compile(model);
 
-  constexpr std::size_t kBatch = 3, kFeatures = 16;
-  std::vector<std::uint8_t> codes(kBatch * kFeatures);
-  for (std::size_t i = 0; i < codes.size(); ++i) {
-    codes[i] = static_cast<std::uint8_t>((i * 41 + 7) & 0xFF);
+    InferContext plan_ctx;
+    Tensor got;
+    plan->run_quantized(q.codes.data(), q.header(), q.batch, q.features, got,
+                        plan_ctx);
+    expect_bitwise_equal(got, model.forward(q.dequantized(3), false),
+                         "conv-head quantized");
   }
-  std::vector<float> lo(kBatch, -0.5f), scale(kBatch, 1.0f / 255.0f);
-  const tensor::QuantHeader qh{lo.data(), scale.data()};
-
-  InferContext seq_ctx, plan_ctx;
-  Tensor expected, got;
-  model.infer_quantized_into(codes.data(), qh, kBatch, kFeatures, expected,
-                             seq_ctx);
-  plan->run_quantized(codes.data(), qh, kBatch, kFeatures, got, plan_ctx);
-  expect_bitwise_equal(got, expected, "conv-head quantized");
 }
 
 TEST(InferPlanTest, AllIdentityChainCompilesToEmptyPlanAndCopies) {
@@ -224,19 +280,15 @@ TEST(InferPlanTest, AllIdentityChainCompilesToEmptyPlanAndCopies) {
 
   common::Pcg32 rng(15);
   const Tensor x = Tensor::randn({4, 9}, rng);
-  InferContext seq_ctx, plan_ctx;
-  Tensor expected, got;
-  model.infer_into(x, expected, seq_ctx);
+  InferContext plan_ctx;
+  Tensor got;
   plan->run(x, got, plan_ctx);
-  expect_bitwise_equal(got, expected, "identity chain");
+  expect_bitwise_equal(got, model.forward(x, false), "identity chain");
 
   // Quantized entry through an empty plan is pure dequantization.
-  std::vector<std::uint8_t> codes(2 * 9, 128);
-  std::vector<float> lo(2, -1.0f), scale(2, 2.0f / 255.0f);
-  const tensor::QuantHeader qh{lo.data(), scale.data()};
-  model.infer_quantized_into(codes.data(), qh, 2, 9, expected, seq_ctx);
-  plan->run_quantized(codes.data(), qh, 2, 9, got, plan_ctx);
-  expect_bitwise_equal(got, expected, "identity chain quantized");
+  const QuantBatch q(2, 9, 31, 128);
+  plan->run_quantized(q.codes.data(), q.header(), 2, 9, got, plan_ctx);
+  expect_bitwise_equal(got, q.dequantized(2), "identity chain quantized");
 }
 
 TEST(InferPlanTest, NestedChainCompilesAndRunsBitwiseEqualToFlat) {
@@ -269,8 +321,10 @@ TEST(InferPlanTest, NestedChainCompilesAndRunsBitwiseEqualToFlat) {
     flat_plan->run(x, flat_out, flat_ctx);
     nested_plan->run(x, nested_out, nested_ctx);
     expect_bitwise_equal(nested_out, flat_out, "nested plan vs flat plan");
+    expect_bitwise_equal(nested_out, outer->forward(x, false),
+                         "nested plan vs forward");
 
-    // And the container's own infer_into agrees with both.
+    // The container's compile-on-demand infer_into agrees too.
     Tensor seq_out;
     outer->infer_into(x, seq_out, nested_ctx);
     expect_bitwise_equal(seq_out, flat_out, "nested infer_into vs flat plan");
@@ -282,23 +336,37 @@ TEST(InferPlanTest, WeightsStaleFlipsAfterMutationAndRecompileClears) {
   nn::Sequential model;
   auto& dense = model.emplace<nn::Dense>(8, 12, rng);
   model.emplace<nn::ReLU>();
+  const Tensor x = Tensor::randn({2, 8}, rng);
 
   const auto plan = InferPlan::compile(model);
   EXPECT_FALSE(plan->weights_stale());
   // A training step / checkpoint load bumps the weight version this way.
   model.invalidate_weight_cache();
   EXPECT_TRUE(plan->weights_stale());
-  (void)dense;
 
   const auto fresh = InferPlan::compile(model);
   EXPECT_FALSE(fresh->weights_stale());
   // The stale plan still executes (reading its captured panels) — it must
-  // not crash, and the fresh plan reflects the live weights.
+  // not crash.
   InferContext ctx;
-  Tensor out;
-  const Tensor x = Tensor::randn({2, 8}, rng);
-  plan->run(x, out, ctx);
-  fresh->run(x, out, ctx);
+  Tensor stale_out, fresh_out;
+  plan->run(x, stale_out, ctx);
+
+  // Editing the weight through the mutable accessor flips staleness too,
+  // and only a recompiled plan sees the new values.
+  dense.weight().fill(0.25f);
+  EXPECT_TRUE(fresh->weights_stale());
+  const auto recompiled = InferPlan::compile(model);
+  EXPECT_FALSE(recompiled->weights_stale());
+  recompiled->run(x, fresh_out, ctx);
+  expect_bitwise_equal(fresh_out, model.forward(x, false),
+                       "recompiled after mutation");
+  plan->run(x, stale_out, ctx);
+  bool differs = false;
+  for (std::size_t i = 0; i < fresh_out.numel(); ++i) {
+    differs = differs || fresh_out[i] != stale_out[i];
+  }
+  EXPECT_TRUE(differs) << "the stale plan must still read its old panels";
 }
 
 TEST(InferPlanTest, ScratchFloatsCoversArenaHighWaterExactly) {

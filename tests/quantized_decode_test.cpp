@@ -1,7 +1,7 @@
 // Int8 uplink decode path: the quantize/dequantize _into overload pair,
 // round-trip error bounds at batch-range extremes, Backend::gemm_quantized
 // parity against explicit dequantize-then-gemm on every backend, the
-// Sequential quantized entry point, an end-to-end decoder error bound
+// InferPlan quantized entry point, an end-to-end decoder error bound
 // propagated from quantization_error_bound, and the serving runtime's
 // quantized submit path (int8 GEMM fast path and row-wise fallback).
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include "nn/activations.h"
 #include "nn/dense.h"
 #include "nn/infer_context.h"
+#include "nn/infer_plan.h"
 #include "nn/sequential.h"
 #include "serve/serve.h"
 #include "tensor/backend.h"
@@ -203,7 +204,7 @@ TEST(GemmQuantizedTest, MatchesExplicitDequantThenPrepackedBitwise) {
   }
 }
 
-TEST(QuantizedInferTest, SequentialQuantizedEntryMatchesDequantizedChain) {
+TEST(QuantizedInferTest, PlanQuantizedEntryMatchesForwardOnDequantizedBatch) {
   common::Pcg32 rng(55);
   std::vector<std::uint8_t> codes(5 * 16);
   for (std::size_t i = 0; i < codes.size(); ++i) {
@@ -223,8 +224,8 @@ TEST(QuantizedInferTest, SequentialQuantizedEntryMatchesDequantizedChain) {
     }
   }
 
-  // Dense head: codes feed the GEMM directly (with the activation
-  // peephole); must equal the float chain on the dequantized batch bitwise.
+  // Dense head: codes feed the GEMM directly (with the fused activation);
+  // must equal the unfused float chain on the dequantized batch bitwise.
   {
     nn::Sequential model;
     model.emplace<nn::Dense>(16, 48, rng);
@@ -233,11 +234,11 @@ TEST(QuantizedInferTest, SequentialQuantizedEntryMatchesDequantizedChain) {
     model.emplace<nn::Sigmoid>();
     for (const char* name : kAllBackends) {
       tensor::BackendScope scope(tensor::find_backend(name));
+      const auto plan = nn::InferPlan::compile(model);
       nn::InferContext ctx;
-      Tensor out, expected;
-      model.infer_quantized_into(codes.data(), qh, 5, 16, out, ctx);
-      nn::InferContext ctx2;
-      model.infer_into(dequant, expected, ctx2);
+      Tensor out;
+      plan->run_quantized(codes.data(), qh, 5, 16, out, ctx);
+      const Tensor expected = model.forward(dequant, false);
       ASSERT_EQ(out.shape(), expected.shape());
       for (std::size_t i = 0; i < out.numel(); ++i) {
         ASSERT_EQ(out[i], expected[i]) << name << " element " << i;
@@ -252,14 +253,18 @@ TEST(QuantizedInferTest, SequentialQuantizedEntryMatchesDequantizedChain) {
     model.emplace<nn::ReLU>();
     model.emplace<nn::Dense>(16, 24, rng);
     model.emplace<nn::Sigmoid>();
-    nn::InferContext ctx;
-    Tensor out, expected;
-    model.infer_quantized_into(codes.data(), qh, 5, 16, out, ctx);
-    nn::InferContext ctx2;
-    model.infer_into(dequant, expected, ctx2);
-    ASSERT_EQ(out.shape(), expected.shape());
-    for (std::size_t i = 0; i < out.numel(); ++i) {
-      ASSERT_EQ(out[i], expected[i]) << "non-dense head element " << i;
+    for (const char* name : kAllBackends) {
+      tensor::BackendScope scope(tensor::find_backend(name));
+      const auto plan = nn::InferPlan::compile(model);
+      nn::InferContext ctx;
+      Tensor out;
+      plan->run_quantized(codes.data(), qh, 5, 16, out, ctx);
+      const Tensor expected = model.forward(dequant, false);
+      ASSERT_EQ(out.shape(), expected.shape());
+      for (std::size_t i = 0; i < out.numel(); ++i) {
+        ASSERT_EQ(out[i], expected[i])
+            << name << " non-dense head element " << i;
+      }
     }
   }
 
@@ -267,9 +272,10 @@ TEST(QuantizedInferTest, SequentialQuantizedEntryMatchesDequantizedChain) {
   {
     nn::Sequential model;
     model.emplace<nn::Identity>();
+    const auto plan = nn::InferPlan::compile(model);
     nn::InferContext ctx;
     Tensor out;
-    model.infer_quantized_into(codes.data(), qh, 5, 16, out, ctx);
+    plan->run_quantized(codes.data(), qh, 5, 16, out, ctx);
     ASSERT_EQ(out.shape(), dequant.shape());
     for (std::size_t i = 0; i < out.numel(); ++i) {
       ASSERT_EQ(out[i], dequant[i]) << "identity chain element " << i;
@@ -322,11 +328,12 @@ TEST(QuantizedInferTest, EndToEndDecodeErrorWithinPropagatedBound) {
   }
 
   const tensor::QuantHeader qh{lo.data(), scale.data()};
+  const auto plan = nn::InferPlan::compile(model);
   nn::InferContext ctx;
   Tensor from_codes, from_floats;
-  model.infer_quantized_into(codes.data(), qh, 6, 16, from_codes, ctx);
+  plan->run_quantized(codes.data(), qh, 6, 16, from_codes, ctx);
   nn::InferContext ctx2;
-  model.infer_into(latents, from_floats, ctx2);
+  plan->run(latents, from_floats, ctx2);
   ASSERT_EQ(from_codes.shape(), from_floats.shape());
   const float per_unit =
       core::quantization_error_bound(LatentPrecision::kFixed8);

